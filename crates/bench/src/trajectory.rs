@@ -605,6 +605,20 @@ fn ns_per_line(repeat: u32, lines: usize, mut f: impl FnMut()) -> f64 {
     best.as_nanos() as f64 / lines.max(1) as f64
 }
 
+/// A scratch path under the system temp directory that no other
+/// measurement uses: besides the seed it carries the process id (other
+/// processes) and a process-wide nonce (other calls in this process, such
+/// as two `measure()` runs on parallel test threads, which would otherwise
+/// delete each other's files mid-scan).
+fn scratch_path(kind: &str, seed: u64, extension: &str) -> std::path::PathBuf {
+    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "semre-trajectory-{kind}-{seed}-{}-{nonce}{extension}",
+        std::process::id()
+    ))
+}
+
 /// Runs the trajectory measurements.
 pub fn measure(config: &TrajectoryConfig) -> Trajectory {
     let workbench = Workbench::generate(config.seed, 2000, 2000);
@@ -646,11 +660,7 @@ fn measure_persist(config: &TrajectoryConfig) -> PersistTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate(&tree_config);
-    let log = std::env::temp_dir().join(format!(
-        "semre-trajectory-persist-{}-{}.log",
-        config.seed,
-        std::process::id()
-    ));
+    let log = scratch_path("persist", config.seed, ".log");
     let _ = std::fs::remove_file(&log);
 
     let pattern = r"Subject: .*(?<Medicine name>: [a-z]+).*";
@@ -906,11 +916,7 @@ fn measure_tree_scan(config: &TrajectoryConfig) -> TreeScanTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate(&tree_config);
-    let root = std::env::temp_dir().join(format!(
-        "semre-trajectory-tree-{}-{}",
-        config.seed,
-        std::process::id()
-    ));
+    let root = scratch_path("tree", config.seed, "");
     let _ = std::fs::remove_dir_all(&root);
     tree.write_to(&root)
         .expect("cannot write scratch corpus tree");
@@ -1012,11 +1018,7 @@ fn measure_skewed_tree(config: &TrajectoryConfig) -> SkewedTreeTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate_skewed(&tree_config, 4_000);
-    let root = std::env::temp_dir().join(format!(
-        "semre-trajectory-skew-{}-{}",
-        config.seed,
-        std::process::id()
-    ));
+    let root = scratch_path("skew", config.seed, "");
     let _ = std::fs::remove_dir_all(&root);
     tree.write_to(&root)
         .expect("cannot write scratch skewed tree");
@@ -1502,15 +1504,35 @@ fn toggle_json(toggle: &Toggle, fast_key: &str, reference_key: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The quick measurement, run once and shared by every test that
+    /// inspects it: a run sleeps through many 1 ms simulated round trips.
+    fn quick_trajectory() -> &'static Trajectory {
+        static QUICK: std::sync::OnceLock<Trajectory> = std::sync::OnceLock::new();
+        QUICK.get_or_init(|| {
+            measure(&TrajectoryConfig {
+                lines_per_bench: 25,
+                find_lines: 5,
+                repeat: 1,
+                ..TrajectoryConfig::quick()
+            })
+        })
+    }
+
+    #[test]
+    fn scratch_paths_are_distinct_per_call() {
+        let first = scratch_path("tree", 7, "");
+        let second = scratch_path("tree", 7, "");
+        assert_ne!(first, second);
+        let log = scratch_path("persist", 7, ".log");
+        assert!(log.to_string_lossy().ends_with(".log"));
+        assert!(log
+            .to_string_lossy()
+            .contains(&std::process::id().to_string()));
+    }
+
     #[test]
     fn quick_trajectory_is_equivalent_and_serializes() {
-        let config = TrajectoryConfig {
-            lines_per_bench: 25,
-            find_lines: 5,
-            repeat: 1,
-            ..TrajectoryConfig::quick()
-        };
-        let trajectory = measure(&config);
+        let trajectory = quick_trajectory();
         assert_eq!(trajectory.benches.len(), 9);
         assert!(
             trajectory.all_equivalent(),
@@ -1588,7 +1610,7 @@ mod tests {
             "the acceptance floor must hold even on the quick corpus: {:?}",
             trajectory.tiered_cost
         );
-        let json = to_json(&trajectory);
+        let json = to_json(trajectory);
         assert!(json.contains("\"artifact\": \"BENCH_PR10\""));
         assert!(json.contains("\"skewed_tree\""));
         assert!(json.contains("skewed_tree_speedup"));
@@ -1626,13 +1648,7 @@ mod tests {
 
     #[test]
     fn floors_flag_regressions_and_pass_sane_numbers() {
-        let config = TrajectoryConfig {
-            lines_per_bench: 25,
-            find_lines: 5,
-            repeat: 1,
-            ..TrajectoryConfig::quick()
-        };
-        let trajectory = measure(&config);
+        let trajectory = quick_trajectory();
         // Impossible floors must be reported as violations.
         let impossible = Floors {
             prefilter_speedup: 1e9,

@@ -34,11 +34,19 @@
 //! substring collapse onto one key — and flushes them through a
 //! [`BatchSession`] as one backend round trip; the *apply* phase then runs
 //! the unchanged Fig. 9 rules, reading answers from the ledger and
-//! resolving the (rare) stragglers whose need only becomes apparent as
-//! aliveness propagates.  The collect phase never speculates: it enlists a
-//! key only when the per-call path would provably issue that question, so
-//! batched evaluation issues exactly the same logical requests as per-call
-//! evaluation, and the ledger's unique-key count can only be smaller.
+//! resolving the *stragglers* — questions whose need only becomes apparent
+//! as the rules run — each with a one-key flush.  The collect phase never
+//! speculates: it enlists a key only when the per-call path would provably
+//! issue that question, so batched evaluation issues exactly the same
+//! logical requests as per-call evaluation, and the ledger's unique-key
+//! count can only be smaller.
+//!
+//! Stragglers are not rare.  Under lazy discharge only a close vertex's
+//! first group is certain to be asked; every question after a group's
+//! first No is a straggler.  A padded query such as `spam,1` asks
+//! O(|w|²) questions per line, almost all of them one at a time, which is
+//! why a one-key flush is built to cost about what a per-call question
+//! does (see [`QueryLedger::try_flush`] and [`BatchSession::resolve`]).
 
 use std::sync::Mutex;
 
@@ -152,14 +160,21 @@ fn open_ref_pos(r: OpenRef) -> usize {
     (r >> 32) as usize
 }
 
-/// Merges `src` into the sorted, deduplicated set `dst`.
+/// Merges the sorted, deduplicated set `src` into the sorted, deduplicated
+/// set `dst`.
 fn merge_refs(dst: &mut Vec<OpenRef>, src: &[OpenRef]) {
-    if src.is_empty() {
+    debug_assert!(src.windows(2).all(|pair| pair[0] < pair[1]));
+    let Some(&first) = src.first() else {
         return;
-    }
+    };
+    // Frontier sets mostly grow by later positions: when `src` starts
+    // after `dst` ends, appending keeps the set sorted.
+    let appends = dst.last().map_or(true, |&last| last < first);
     dst.extend_from_slice(src);
-    dst.sort_unstable();
-    dst.dedup();
+    if !appends {
+        dst.sort_unstable();
+        dst.dedup();
+    }
 }
 
 /// Per-layer frontier of one gadget copy.
@@ -516,10 +531,10 @@ pub(crate) fn evaluate_search_with_scratch(
     .run(scratch)
 }
 
-/// Like [`evaluate_search`], but resolving oracle questions through
-/// `session` so answers are shared with every other evaluation using it
-/// (e.g. the successive suffix searches of a `find_iter`).  Implies the
-/// batched plane.
+/// Like [`evaluate_search_with_scratch`], but resolving oracle questions
+/// through `session` so answers are shared with every other evaluation
+/// using it (e.g. the successive suffix searches of a `find_iter`).
+/// Implies the batched plane.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_search_in_session<'a>(
     snfa: &'a Snfa,
@@ -1000,15 +1015,18 @@ impl Evaluator<'_, '_, '_> {
     /// answers for all of them.  The second component records whether any
     /// member carries a LOQ set (nested queries).  Candidates are sorted,
     /// so the group order — and in particular the first group — is
-    /// identical however the candidate set was reached.
+    /// identical however the candidate set was reached, and since the
+    /// position sits in an [`OpenRef`]'s high bits, each group is a run of
+    /// consecutive candidates.
     fn group_candidates(&self, candidates: &[OpenRef], loq: &LoqTable) -> Vec<(usize, bool)> {
+        debug_assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
         let mut groups: Vec<(usize, bool)> = Vec::new();
         for &o in candidates {
             let p = open_ref_pos(o);
             let has_loq = loq_of(self.topo, loq, o).is_some();
-            match groups.iter_mut().find(|(gp, _)| *gp == p) {
-                Some((_, h)) => *h |= has_loq,
-                None => groups.push((p, has_loq)),
+            match groups.last_mut() {
+                Some((gp, h)) if *gp == p => *h |= has_loq,
+                _ => groups.push((p, has_loq)),
             }
         }
         groups
@@ -1135,18 +1153,15 @@ impl Evaluator<'_, '_, '_> {
             }
         };
 
-        // Opens that carry backreferences of their own (nested queries) must
-        // all be resolved; opens without may be short-circuited.
-        let (with_loq, without_loq): (Vec<_>, Vec<_>) =
-            groups.into_iter().partition(|&(_, has_loq)| has_loq);
-
         // Reuse the (empty) backref buffer already sitting in the frontier
         // slot instead of allocating a fresh one per close vertex.
         let mut matched_backrefs = std::mem::take(&mut layer1.backref[t]);
         matched_backrefs.clear();
         let mut alive = false;
 
-        for &(open_pos, _) in &with_loq {
+        // Opens that carry backreferences of their own (nested queries) must
+        // all be resolved; opens without may be short-circuited.
+        for &(open_pos, _) in groups.iter().filter(|&&(_, has_loq)| has_loq) {
             let Some(answer) = self.ask_oracle(t, query, open_pos, pos) else {
                 return false;
             };
@@ -1159,7 +1174,7 @@ impl Evaluator<'_, '_, '_> {
                 }
             }
         }
-        for &(open_pos, _) in &without_loq {
+        for &(open_pos, _) in groups.iter().filter(|&&(_, has_loq)| !has_loq) {
             if alive && self.options.lazy_oracle {
                 // The remaining groups cannot change Backref(v) (their LOQ
                 // sets are empty) and Alive(v) is already established.

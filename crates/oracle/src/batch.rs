@@ -22,8 +22,9 @@
 //!   membership tests (e.g. all lines of a grep chunk), so identical
 //!   `(query, text)` questions from different lines reach the backend once.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use crate::overlap::ResolverPool;
 use crate::stats::BatchStats;
@@ -67,6 +68,48 @@ impl<O: Oracle + ?Sized> BatchOracle for O {
 /// [`QueryLedger::enlist`] and accepted by [`QueryLedger::answer`].
 pub type LedgerSlot = usize;
 
+/// A multiplicative hasher for integer keys: the ledger's `(query id,
+/// start, end)` positions and the answer stores' SipHash values.
+///
+/// Neither is text a client chooses — positions are bounded by the line,
+/// and a SipHash value is already keyed and uniform — so a
+/// multiply-and-rotate mix is enough, at a fraction of SipHash's cost on
+/// the evaluator's hottest maps.
+#[derive(Clone, Copy, Debug, Default)]
+struct IntHasher(u64);
+
+impl IntHasher {
+    const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high bits become the low bits the
+        // table indexes by.
+        self.0.rotate_left(26)
+    }
+}
+
 /// A deduplicating accumulator of oracle questions.
 ///
 /// The evaluator enlists keys as it discovers oracle-dependent frontier
@@ -80,7 +123,7 @@ pub type LedgerSlot = usize;
 /// the `(q, i, j)` vertices of the paper's query graph.
 #[derive(Clone, Debug)]
 pub struct QueryLedger<K> {
-    slots: HashMap<K, LedgerSlot>,
+    slots: HashMap<K, LedgerSlot, BuildHasherDefault<IntHasher>>,
     keys: Vec<K>,
     answers: Vec<Option<bool>>,
     resolved: usize,
@@ -91,7 +134,7 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
     /// An empty ledger.
     pub fn new() -> Self {
         QueryLedger {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             keys: Vec::new(),
             answers: Vec::new(),
             resolved: 0,
@@ -103,15 +146,19 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
     /// so far, and returns its slot.
     pub fn enlist(&mut self, key: K) -> LedgerSlot {
         self.stats.keys_submitted += 1;
-        if let Some(&slot) = self.slots.get(&key) {
-            self.stats.keys_deduped += 1;
-            return slot;
-        }
         let slot = self.keys.len();
-        self.slots.insert(key.clone(), slot);
-        self.keys.push(key);
-        self.answers.push(None);
-        slot
+        match self.slots.entry(key.clone()) {
+            Entry::Occupied(known) => {
+                self.stats.keys_deduped += 1;
+                *known.get()
+            }
+            Entry::Vacant(fresh) => {
+                fresh.insert(slot);
+                self.keys.push(key);
+                self.answers.push(None);
+                slot
+            }
+        }
     }
 
     /// The answer for `slot`, if it has been resolved by a flush.
@@ -169,14 +216,22 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
         F: FnMut(&K) -> QueryKey<'k>,
         R: FnOnce(&[QueryKey<'k>]) -> Option<Vec<bool>>,
     {
-        if self.resolved == self.keys.len() {
-            return true;
-        }
-        let batch: Vec<QueryKey<'k>> = self.keys[self.resolved..]
-            .iter()
-            .map(&mut materialize)
-            .collect();
-        let Some(answers) = resolver(&batch) else {
+        // A straggler flush carries a single key: it is materialized on
+        // the stack instead of into a batch vector.
+        let single;
+        let many: Vec<QueryKey<'k>>;
+        let batch: &[QueryKey<'k>] = match &self.keys[self.resolved..] {
+            [] => return true,
+            [key] => {
+                single = materialize(key);
+                std::slice::from_ref(&single)
+            }
+            pending => {
+                many = pending.iter().map(&mut materialize).collect();
+                &many
+            }
+        };
+        let Some(answers) = resolver(batch) else {
             return false;
         };
         assert_eq!(
@@ -184,8 +239,8 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
             batch.len(),
             "batch resolver returned a wrong-sized answer vector"
         );
-        for (offset, answer) in answers.into_iter().enumerate() {
-            self.answers[self.resolved + offset] = Some(answer);
+        for (slot, answer) in self.answers[self.resolved..].iter_mut().zip(answers) {
+            *slot = Some(answer);
         }
         self.resolved = self.keys.len();
         self.stats.batches += 1;
@@ -202,30 +257,113 @@ impl<K: Eq + Hash + Clone> Default for QueryLedger<K> {
 
 /// A `query → text → answer` store with allocation-free lookups.
 ///
-/// The nested shape lets hits probe with borrowed `&str` / `&[u8]` keys;
-/// owned keys are built only when a miss is inserted.
+/// Hits probe with borrowed `&str` / `&[u8]` keys; a query name is owned
+/// once, when its first answer is inserted.  Texts are SipHashed with the
+/// store's own random keys, so a client choosing texts cannot aim
+/// collisions.
 #[derive(Debug, Default)]
 pub(crate) struct AnswerStore {
-    map: HashMap<String, HashMap<Vec<u8>, bool>>,
+    hasher: RandomState,
+    map: HashMap<String, TextAnswers>,
+}
+
+/// The answers to one query, keyed by text.
+///
+/// Texts are copied into one arena and indexed by their SipHash value,
+/// which the table rehashes with [`IntHasher`]: growing the table moves
+/// eight-byte hashes instead of re-running SipHash over every stored text,
+/// and an insert allocates nothing beyond amortized arena growth.  Distinct
+/// texts with equal hashes chain through [`TextEntry::older`].
+#[derive(Debug, Default)]
+struct TextAnswers {
+    /// The newest entry with each text hash.
+    newest: HashMap<u64, usize, BuildHasherDefault<IntHasher>>,
+    entries: Vec<TextEntry>,
+    /// Every stored text, back to back: entry `i` spans
+    /// `arena[entries[i - 1].end..entries[i].end]`.
+    arena: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct TextEntry {
+    end: usize,
+    answer: bool,
+    /// The next older entry whose text has the same hash.
+    older: Option<usize>,
+}
+
+/// Walks the chain of equal-hash entries starting at `at` for `text`.
+fn find_in_chain(
+    entries: &[TextEntry],
+    arena: &[u8],
+    mut at: Option<usize>,
+    text: &[u8],
+) -> Option<usize> {
+    while let Some(i) = at {
+        let start = i.checked_sub(1).map_or(0, |prev| entries[prev].end);
+        if &arena[start..entries[i].end] == text {
+            return Some(i);
+        }
+        at = entries[i].older;
+    }
+    None
+}
+
+impl TextAnswers {
+    fn find(&self, hash: u64, text: &[u8]) -> Option<usize> {
+        let newest = self.newest.get(&hash).copied();
+        find_in_chain(&self.entries, &self.arena, newest, text)
+    }
+
+    fn insert(&mut self, hash: u64, text: &[u8], answer: bool) {
+        let fresh = self.entries.len();
+        let older = match self.newest.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                None
+            }
+            Entry::Occupied(mut slot) => {
+                let newest = *slot.get();
+                if let Some(i) = find_in_chain(&self.entries, &self.arena, Some(newest), text) {
+                    self.entries[i].answer = answer;
+                    return;
+                }
+                slot.insert(fresh);
+                Some(newest)
+            }
+        };
+        self.arena.extend_from_slice(text);
+        self.entries.push(TextEntry {
+            end: self.arena.len(),
+            answer,
+            older,
+        });
+    }
 }
 
 impl AnswerStore {
     pub(crate) fn get(&self, key: &QueryKey<'_>) -> Option<bool> {
-        self.map
-            .get(key.query)
-            .and_then(|texts| texts.get(key.text))
-            .copied()
+        let texts = self.map.get(key.query)?;
+        let i = texts.find(self.hasher.hash_one(key.text), key.text)?;
+        Some(texts.entries[i].answer)
     }
 
     pub(crate) fn insert(&mut self, key: &QueryKey<'_>, answer: bool) {
+        let hash = self.hasher.hash_one(key.text);
+        // Probe before allocating: the query name is owned once per store,
+        // not once per answer.
+        if let Some(texts) = self.map.get_mut(key.query) {
+            texts.insert(hash, key.text, answer);
+            return;
+        }
         self.map
             .entry(key.query.to_owned())
             .or_default()
-            .insert(key.text.to_vec(), answer);
+            .insert(hash, key.text, answer);
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.map.values().map(HashMap::len).sum()
+        self.map.values().map(|texts| texts.entries.len()).sum()
     }
 
     pub(crate) fn clear(&mut self) {
@@ -308,53 +446,103 @@ impl ShardedAnswerStore {
     }
 }
 
-/// Where each position of an incoming batch gets its answer from.
+/// Where a position of an incoming batch that needs no fresh backend
+/// question gets its answer from.
 enum Source {
     /// Already answered by the store.
     Known(bool),
-    /// Answered by the miss sub-batch at this slot.
+    /// A duplicate of the miss at this slot.
     Miss(usize),
 }
 
-/// One batch classified against an answer store: per-position sources, the
-/// deduplicated misses to forward, and how many positions were answered
-/// without the backend.  Shared by [`BatchSession`] and the caching
+/// A classified batch's bookkeeping once some position is answered without
+/// the backend: per-position answers plus the deduplicated misses.
+struct Routing<'a> {
+    /// The batch's answers: store hits filled in, a placeholder wherever
+    /// the miss sub-batch answers.
+    answers: Vec<bool>,
+    /// `(position, miss slot)` for every position the miss sub-batch
+    /// answers.
+    fills: Vec<(usize, usize)>,
+    misses: Vec<QueryKey<'a>>,
+}
+
+/// One batch classified against an answer store: which positions the
+/// store (or an earlier duplicate in the batch) answers, the deduplicated
+/// misses to forward, and how many positions were answered without the
+/// backend.  Shared by [`BatchSession`], [`SharedSession`] and the caching
 /// wrapper so the two-phase logic cannot drift apart.
-pub(crate) struct BatchPlan<'a> {
-    sources: Vec<Source>,
-    pub(crate) misses: Vec<QueryKey<'a>>,
+///
+/// Until the first hit or duplicate the batch is its own miss sub-batch
+/// and the backend's answers are the batch's answers, so no bookkeeping is
+/// built.  A one-key straggler flush — the commonest batch under lazy
+/// discharge — is either a single hit or a single miss, and so allocates
+/// nothing here beyond its answer vector.
+pub(crate) struct BatchPlan<'b, 'a> {
+    batch: &'b [QueryKey<'a>],
+    /// `None` while every position is a distinct miss.
+    routing: Option<Routing<'a>>,
     hits: u64,
 }
 
-impl<'a> BatchPlan<'a> {
+impl<'b, 'a> BatchPlan<'b, 'a> {
     /// Splits `batch` into store-answered positions and deduplicated
-    /// misses.  `lookup` probes the store; intra-batch duplicates collapse
-    /// onto one miss without any allocation.
+    /// misses.  `lookup` probes the store once per position; intra-batch
+    /// duplicates collapse onto one miss.
     pub(crate) fn classify(
-        batch: &[QueryKey<'a>],
+        batch: &'b [QueryKey<'a>],
         mut lookup: impl FnMut(&QueryKey<'a>) -> Option<bool>,
     ) -> Self {
-        let mut sources: Vec<Source> = Vec::with_capacity(batch.len());
-        let mut misses: Vec<QueryKey<'a>> = Vec::new();
-        let mut pending: HashMap<(&'a str, &'a [u8]), usize> = HashMap::new();
+        let mut routing: Option<Routing<'a>> = None;
+        let mut first_miss: HashMap<(&'a str, &'a [u8]), usize> = HashMap::new();
         let mut hits = 0;
-        for key in batch {
-            if let Some(answer) = lookup(key) {
-                hits += 1;
-                sources.push(Source::Known(answer));
-            } else if let Some(&slot) = pending.get(&(key.query, key.text)) {
-                hits += 1;
-                sources.push(Source::Miss(slot));
-            } else {
-                pending.insert((key.query, key.text), misses.len());
-                sources.push(Source::Miss(misses.len()));
-                misses.push(*key);
+        for (pos, key) in batch.iter().enumerate() {
+            let source = match lookup(key) {
+                Some(answer) => Some(Source::Known(answer)),
+                None => first_miss
+                    .get(&(key.query, key.text))
+                    .map(|&slot| Source::Miss(slot)),
+            };
+            let Some(source) = source else {
+                let slot = match &mut routing {
+                    None => pos,
+                    Some(routing) => {
+                        routing.fills.push((pos, routing.misses.len()));
+                        routing.misses.push(*key);
+                        routing.misses.len() - 1
+                    }
+                };
+                // The last key has no later duplicate to catch.
+                if pos + 1 < batch.len() {
+                    first_miss.insert((key.query, key.text), slot);
+                }
+                continue;
+            };
+            hits += 1;
+            // Every position before this one was a distinct miss.
+            let routing = routing.get_or_insert_with(|| Routing {
+                answers: vec![false; batch.len()],
+                fills: (0..pos).map(|p| (p, p)).collect(),
+                misses: batch[..pos].to_vec(),
+            });
+            match source {
+                Source::Known(answer) => routing.answers[pos] = answer,
+                Source::Miss(slot) => routing.fills.push((pos, slot)),
             }
         }
         BatchPlan {
-            sources,
-            misses,
+            batch,
+            routing,
             hits,
+        }
+    }
+
+    /// The deduplicated questions the store could not answer, in batch
+    /// order.
+    pub(crate) fn misses(&self) -> &[QueryKey<'a>] {
+        match &self.routing {
+            None => self.batch,
+            Some(routing) => &routing.misses,
         }
     }
 
@@ -372,16 +560,16 @@ impl<'a> BatchPlan<'a> {
     pub(crate) fn into_answers(self, miss_answers: Vec<bool>) -> Vec<bool> {
         assert_eq!(
             miss_answers.len(),
-            self.misses.len(),
+            self.misses().len(),
             "backend returned a wrong-sized answer vector"
         );
-        self.sources
-            .into_iter()
-            .map(|source| match source {
-                Source::Known(answer) => answer,
-                Source::Miss(slot) => miss_answers[slot],
-            })
-            .collect()
+        let Some(mut routing) = self.routing else {
+            return miss_answers;
+        };
+        for (pos, slot) in routing.fills {
+            routing.answers[pos] = miss_answers[slot];
+        }
+        routing.answers
     }
 }
 
@@ -393,8 +581,12 @@ impl<'a> BatchPlan<'a> {
 /// authoritative backend (a cache or heuristic tier), so flushing them
 /// first front-loads the pruning.  Answers are keyed, so the reordering
 /// is invisible to callers; when every question prices the same (any flat
-/// backend under the default cost model) the batch is forwarded as-is.
+/// backend under the default cost model) the batch is forwarded as-is, and
+/// a single question is forwarded without being priced at all.
 fn resolve_cost_ordered(oracle: &dyn Oracle, misses: &[QueryKey<'_>]) -> Vec<bool> {
+    if misses.len() < 2 {
+        return oracle.resolve_batch(misses);
+    }
     let costs: Vec<u32> = misses
         .iter()
         .map(|key| oracle.question_cost(key.query, key.text))
@@ -470,24 +662,21 @@ impl<'o> BatchSession<'o> {
     /// backend.
     pub fn resolve(&mut self, batch: &[QueryKey<'_>]) -> Vec<bool> {
         self.stats.keys_submitted += batch.len() as u64;
-        if batch.is_empty() {
-            return Vec::new();
-        }
-
         let plan = BatchPlan::classify(batch, |key| self.cache.get(key));
         self.stats.keys_deduped += plan.hits();
 
-        let miss_answers = if plan.misses.is_empty() {
+        let misses = plan.misses();
+        let miss_answers = if misses.is_empty() {
             Vec::new()
         } else {
             self.stats.batches += 1;
-            self.stats.backend_keys += plan.misses.len() as u64;
-            let answers = resolve_cost_ordered(self.oracle, &plan.misses);
+            self.stats.backend_keys += misses.len() as u64;
+            let answers = resolve_cost_ordered(self.oracle, misses);
             // Placeholder answers from a faulted backend (see the
             // fault-sink contract in the `error` module) must not enter
             // the session store.
             if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
+                for (key, &answer) in misses.iter().zip(&answers) {
                     self.cache.insert(key, answer);
                 }
             }
@@ -517,9 +706,9 @@ impl<'o> BatchSession<'o> {
             return Some(Vec::new());
         }
         let plan = BatchPlan::classify(batch, |key| self.cache.get(key));
+        let misses = plan.misses();
         let mut pending = Vec::new();
-        let miss_answers: Vec<Option<bool>> = plan
-            .misses
+        let miss_answers: Vec<Option<bool>> = misses
             .iter()
             .map(|key| {
                 let answer = pool.lookup(key);
@@ -543,18 +732,18 @@ impl<'o> BatchSession<'o> {
             .into_iter()
             .map(|answer| answer.expect("every miss resolved"))
             .collect();
-        if !plan.misses.is_empty() {
+        if !misses.is_empty() {
             // The pool's store plays the backend role here: these keys
             // went past the session, so they count as backend keys even
             // though the true backend round trips happened in the pool
             // (and are reported by its own counters).
             self.stats.batches += 1;
-            self.stats.backend_keys += plan.misses.len() as u64;
+            self.stats.backend_keys += misses.len() as u64;
             // A failed pool key completes as a placeholder with a fault
             // pending (recorded by `pool.lookup`); keep it out of the
             // session store.
             if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
+                for (key, &answer) in misses.iter().zip(&answers) {
                     self.cache.insert(key, answer);
                 }
             }
@@ -833,18 +1022,19 @@ impl Oracle for SharedSession {
         self.state
             .keys_deduped
             .fetch_add(plan.hits() - persisted, Relaxed);
-        let miss_answers = if plan.misses.is_empty() {
+        let misses = plan.misses();
+        let miss_answers = if misses.is_empty() {
             Vec::new()
         } else {
             self.state.batches.fetch_add(1, Relaxed);
             self.state
                 .backend_keys
-                .fetch_add(plan.misses.len() as u64, Relaxed);
-            let answers = resolve_cost_ordered(self.oracle.as_ref(), &plan.misses);
+                .fetch_add(misses.len() as u64, Relaxed);
+            let answers = resolve_cost_ordered(self.oracle.as_ref(), misses);
             // Same placeholder rule as `holds`: a pending fault keeps
             // the whole miss batch out of the cache and the answer log.
             if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
+                for (key, &answer) in misses.iter().zip(&answers) {
                     self.state.cache.insert(key, answer);
                     if let Some(binding) = &self.state.persist {
                         binding
@@ -1105,6 +1295,30 @@ mod tests {
     }
 
     #[test]
+    fn text_answers_chain_colliding_hashes() {
+        // Distinct texts forced onto one hash stay distinct entries.
+        let mut texts = TextAnswers::default();
+        texts.insert(7, b"ab", true);
+        texts.insert(7, b"", false);
+        texts.insert(7, b"cde", true);
+        texts.insert(9, b"ab", false);
+        assert_eq!(texts.entries.len(), 4);
+        let answer = |texts: &TextAnswers, hash, text: &[u8]| {
+            texts.find(hash, text).map(|i| texts.entries[i].answer)
+        };
+        assert_eq!(answer(&texts, 7, b"ab"), Some(true));
+        assert_eq!(answer(&texts, 7, b""), Some(false));
+        assert_eq!(answer(&texts, 7, b"cde"), Some(true));
+        assert_eq!(answer(&texts, 9, b"ab"), Some(false));
+        assert_eq!(answer(&texts, 7, b"abc"), None);
+        assert_eq!(answer(&texts, 8, b"ab"), None);
+        // Re-inserting a stored text overwrites it in place.
+        texts.insert(7, b"ab", false);
+        assert_eq!(texts.entries.len(), 4);
+        assert_eq!(answer(&texts, 7, b"ab"), Some(false));
+    }
+
+    #[test]
     fn sharded_store_is_consistent_under_concurrent_mixed_access() {
         let store = ShardedAnswerStore::default();
         std::thread::scope(|scope| {
@@ -1160,6 +1374,151 @@ mod tests {
         let batch = keys(&[("q", b"ab"), ("q", b"cd")]);
         assert_eq!(session.try_resolve(&batch), Some(vec![true, false]));
         assert_eq!(session.stats().backend_keys, 2);
+    }
+
+    /// A backend that records every `resolve_batch` call it receives and,
+    /// while `faulty` is set, fails them the way a fallible adapter does:
+    /// a fault in the sink plus placeholder `false` answers.
+    #[derive(Default)]
+    struct RecordingBackend {
+        calls: std::sync::Mutex<Vec<RecordedBatch>>,
+        faulty: std::sync::atomic::AtomicBool,
+    }
+
+    /// One `resolve_batch` call as the backend saw it.
+    type RecordedBatch = Vec<(String, Vec<u8>)>;
+
+    impl RecordingBackend {
+        fn calls(&self) -> Vec<RecordedBatch> {
+            self.calls.lock().unwrap().clone()
+        }
+    }
+
+    impl Oracle for RecordingBackend {
+        fn holds(&self, _: &str, text: &[u8]) -> bool {
+            text.starts_with(b"a")
+        }
+
+        fn resolve_batch(&self, batch: &[QueryKey<'_>]) -> Vec<bool> {
+            self.calls.lock().unwrap().push(
+                batch
+                    .iter()
+                    .map(|key| (key.query.to_owned(), key.text.to_vec()))
+                    .collect(),
+            );
+            if self.faulty.load(std::sync::atomic::Ordering::Relaxed) {
+                crate::error::record_fault(crate::OracleError::transient("backend down"));
+                return vec![false; batch.len()];
+            }
+            batch
+                .iter()
+                .map(|key| self.holds(key.query, key.text))
+                .collect()
+        }
+    }
+
+    /// Asks the question `input[start..end]` the way the evaluator's
+    /// straggler path does: enlist one ledger key, flush it alone.
+    fn ask_straggler(
+        ledger: &mut QueryLedger<(u32, u32, u32)>,
+        session: &mut BatchSession<'_>,
+        input: &[u8],
+        start: u32,
+        end: u32,
+    ) -> bool {
+        let slot = ledger.enlist((0, start, end));
+        assert!(ledger.try_flush(
+            |&(_, s, e)| QueryKey::new("q", &input[s as usize..e as usize]),
+            |batch| {
+                assert_eq!(batch.len(), 1, "a straggler flush carries one key");
+                session.try_resolve(batch)
+            },
+        ));
+        ledger.answer(slot).expect("flushed")
+    }
+
+    #[test]
+    fn one_key_miss_reaches_the_backend_as_one_call() {
+        let backend = RecordingBackend::default();
+        let mut session = BatchSession::new(&backend);
+        let mut ledger = QueryLedger::new();
+        assert!(ask_straggler(&mut ledger, &mut session, b"abab", 0, 2));
+        assert_eq!(
+            backend.calls(),
+            vec![vec![("q".to_owned(), b"ab".to_vec())]]
+        );
+        let stats = session.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.backend_keys, 1);
+        assert_eq!(stats.keys_submitted, 1);
+        assert_eq!(stats.keys_deduped, 0);
+        assert_eq!(session.len(), 1);
+    }
+
+    #[test]
+    fn one_key_repeat_is_answered_by_the_store() {
+        let backend = RecordingBackend::default();
+        let mut session = BatchSession::new(&backend);
+        let mut ledger = QueryLedger::new();
+        assert!(ask_straggler(&mut ledger, &mut session, b"abab", 0, 2));
+        // The same text at another position: a new ledger key, but the
+        // session store already holds its answer.
+        assert!(ask_straggler(&mut ledger, &mut session, b"abab", 2, 4));
+        assert_eq!(backend.calls().len(), 1, "no second backend call");
+        let stats = session.stats();
+        assert_eq!(stats.keys_submitted, 2);
+        assert_eq!(stats.keys_deduped, 1);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.backend_keys, 1);
+        assert_eq!(ledger.stats().batches, 2, "each straggler is its own flush");
+    }
+
+    #[test]
+    fn one_key_faulted_placeholder_is_returned_but_not_stored() {
+        crate::error::clear_fault();
+        let backend = RecordingBackend::default();
+        let mut session = BatchSession::new(&backend);
+        let mut ledger = QueryLedger::new();
+        backend
+            .faulty
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            !ask_straggler(&mut ledger, &mut session, b"abab", 0, 2),
+            "the placeholder answer comes back"
+        );
+        assert!(crate::error::take_fault().is_some());
+        assert!(session.is_empty(), "the placeholder is not stored");
+
+        // The next ask of the same text reaches the backend again.
+        backend
+            .faulty
+            .store(false, std::sync::atomic::Ordering::Relaxed);
+        assert!(ask_straggler(&mut ledger, &mut session, b"abab", 2, 4));
+        assert_eq!(backend.calls().len(), 2);
+        assert_eq!(session.stats().backend_keys, 2);
+        assert_eq!(session.stats().keys_deduped, 0);
+        assert_eq!(session.len(), 1);
+    }
+
+    #[test]
+    fn plan_routes_hits_and_duplicates_after_leading_misses() {
+        // Two distinct misses, then a store hit and a duplicate of the
+        // first miss: the plan switches from forwarding the batch as it
+        // stands to routing, and the answers land in batch order.
+        let batch = keys(&[("q", b"m1"), ("q", b"m2"), ("q", b"hit"), ("q", b"m1")]);
+        let plan = BatchPlan::classify(&batch, |key| (key.text == b"hit").then_some(true));
+        assert_eq!(plan.hits(), 2);
+        assert_eq!(plan.misses(), &batch[..2]);
+        assert_eq!(
+            plan.into_answers(vec![false, true]),
+            vec![false, true, true, false]
+        );
+
+        // Every key a distinct miss: the batch itself is forwarded.
+        let plan = BatchPlan::classify(&batch[..2], |_| None);
+        assert_eq!(plan.hits(), 0);
+        assert_eq!(plan.misses(), &batch[..2]);
+        assert_eq!(plan.into_answers(vec![true, false]), vec![true, false]);
     }
 
     #[test]

@@ -377,16 +377,17 @@ impl<O: Oracle> Oracle for CachingOracle<O> {
         self.hits.fetch_add(plan.hits(), Ordering::Relaxed);
 
         // The inner batch is resolved outside the lock, as in `holds`.
-        let miss_answers = if plan.misses.is_empty() {
+        let misses = plan.misses();
+        let miss_answers = if misses.is_empty() {
             Vec::new()
         } else {
             self.batches.fetch_add(1, Ordering::Relaxed);
-            let answers = self.inner.resolve_batch(&plan.misses);
+            let answers = self.inner.resolve_batch(misses);
             self.misses
-                .fetch_add(plan.misses.len() as u64, Ordering::Relaxed);
+                .fetch_add(misses.len() as u64, Ordering::Relaxed);
             if !crate::error::fault_pending() {
                 let mut cache = self.lock_cache();
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
+                for (key, &answer) in misses.iter().zip(&answers) {
                     cache.insert(key, answer);
                 }
             }
