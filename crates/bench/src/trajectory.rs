@@ -1530,6 +1530,29 @@ mod tests {
             .contains(&std::process::id().to_string()));
     }
 
+    /// Two persistence measurements at once, as two parallel `measure()`
+    /// calls would run them: each must use its own answer log, so neither
+    /// warm scan reaches the backend.
+    #[test]
+    fn concurrent_persist_measurements_do_not_share_a_log() {
+        let config = TrajectoryConfig::quick();
+        let start = std::sync::Barrier::new(2);
+        let [first, second] = std::thread::scope(|scope| {
+            let runs = [(); 2].map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    measure_persist(&config)
+                })
+            });
+            runs.map(|run| run.join().expect("persist measurement panicked"))
+        });
+        for persist in [first, second] {
+            assert_eq!(persist.warm_backend_keys, 0);
+            assert!(persist.cold_backend_keys > 0);
+            assert!(persist.equivalent);
+        }
+    }
+
     #[test]
     fn quick_trajectory_is_equivalent_and_serializes() {
         let trajectory = quick_trajectory();

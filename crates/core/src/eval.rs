@@ -18,10 +18,13 @@
 //!
 //! Two optional optimizations reproduce the behaviour of the paper's
 //! optimized implementation: pruning the evaluation to vertices that are
-//! syntactically co-reachable from `end` (a second, oracle-free pass over
-//! the graph, run backwards), and lazily short-circuiting oracle calls at
-//! close vertices whenever the discharged opens carry no backreferences
-//! (always the case for non-nested SemREs).
+//! syntactically co-reachable from `end`, and lazily short-circuiting
+//! oracle calls at close vertices whenever the discharged opens carry no
+//! backreferences (always the case for non-nested SemREs).  The
+//! co-reachability bits come from an oracle-free backward pass over the
+//! input that is memoized across lines: each position's bits are a state
+//! of a lazily built reverse automaton ([`CoReach`]), so a line costs one
+//! table lookup per byte once the automaton is warm.
 //!
 //! # The batched query plane
 //!
@@ -54,6 +57,7 @@ use semre_automata::{Label, Snfa, StateId};
 use semre_oracle::{BatchSession, Oracle, QueryKey, QueryLedger};
 use semre_syntax::QueryName;
 
+use crate::coreach::CoReach;
 use crate::topology::GadgetTopology;
 
 /// Options controlling how the query graph is evaluated.
@@ -268,8 +272,8 @@ fn loq_of<'b>(topo: &GadgetTopology, loq: &'b LoqTable, o: OpenRef) -> Option<&'
 }
 
 /// Reusable buffers of one evaluation: the per-position frontiers, the
-/// flattened co-reachability bitmap, the LOQ arena, and the collect-phase
-/// cache.  A [`ScratchPool`] hands the same buffers to successive
+/// flattened co-reachability bitmap, the LOQ arena, and the close-vertex
+/// buffers.  A [`ScratchPool`] hands the same buffers to successive
 /// evaluations, so the steady state of a scan performs no per-line (let
 /// alone per-byte) frontier allocation.
 #[derive(Debug, Default)]
@@ -278,7 +282,7 @@ pub(crate) struct EvalScratch {
     layer2: Layer,
     layer3: Layer,
     prev3: Layer,
-    close_cache: Vec<Option<CachedClose>>,
+    close: CloseScratch,
     /// Co-reachability bits, `((pos - 1) * 3 + (layer - 1)) * states +
     /// state` — one flat allocation instead of `3(n + 1)` nested `Vec`s.
     coreach: Vec<bool>,
@@ -287,17 +291,18 @@ pub(crate) struct EvalScratch {
     refs_buf: Vec<OpenRef>,
 }
 
-/// A lock-guarded stack of [`EvalScratch`] buffers.  `Matcher` keeps one so
-/// concurrent `is_match` / `find` calls each check out their own buffers
-/// (the lock is held only for the pop/push, never during evaluation).
-pub(crate) struct ScratchPool(Mutex<Vec<EvalScratch>>);
+/// A lock-guarded stack of reusable buffers ([`EvalScratch`] by default).
+/// `Matcher` keeps its pools so concurrent `is_match` / `find` calls each
+/// check out their own buffers (the lock is held only for the pop/push,
+/// never while a buffer is in use).
+pub(crate) struct ScratchPool<T = EvalScratch>(Mutex<Vec<T>>);
 
-impl ScratchPool {
+impl<T: Default> ScratchPool<T> {
     pub(crate) fn new() -> Self {
         ScratchPool(Mutex::new(Vec::new()))
     }
 
-    pub(crate) fn take(&self) -> EvalScratch {
+    pub(crate) fn take(&self) -> T {
         self.0
             .lock()
             .expect("scratch pool poisoned")
@@ -305,19 +310,25 @@ impl ScratchPool {
             .unwrap_or_default()
     }
 
-    pub(crate) fn put(&self, scratch: EvalScratch) {
+    pub(crate) fn put(&self, scratch: T) {
         self.0.lock().expect("scratch pool poisoned").push(scratch);
+    }
+
+    /// `f` of every pooled buffer.
+    #[cfg(test)]
+    pub(crate) fn map<R>(&self, f: impl Fn(&T) -> R) -> Vec<R> {
+        self.0.lock().unwrap().iter().map(f).collect()
     }
 }
 
-impl Clone for ScratchPool {
+impl<T: Default> Clone for ScratchPool<T> {
     fn clone(&self) -> Self {
         // Scratch is transient: clones start with an empty pool.
         ScratchPool::new()
     }
 }
 
-impl std::fmt::Debug for ScratchPool {
+impl<T> std::fmt::Debug for ScratchPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ScratchPool")
     }
@@ -410,11 +421,40 @@ impl QueryTable {
 }
 
 /// One close vertex's candidate computation, cached by the collect phase
-/// for reuse in the apply phase.
-#[derive(Debug)]
+/// for reuse in the apply phase: `(start, end)` ranges into the
+/// [`CloseScratch`] arenas.
+#[derive(Clone, Copy, Debug)]
 struct CachedClose {
+    candidates: (usize, usize),
+    groups: (usize, usize),
+}
+
+/// The close-vertex buffers of one position, reused across positions and
+/// lines so neither phase allocates per byte: every close vertex's
+/// candidate opens and groups live in two flat arenas, cleared at each
+/// position, with one [`CachedClose`] range pair per vertex the collect
+/// phase cached.
+#[derive(Debug, Default)]
+struct CloseScratch {
+    /// Per state: the collect phase's computation for that close vertex.
+    cached: Vec<Option<CachedClose>>,
     candidates: Vec<OpenRef>,
     groups: Vec<(usize, bool)>,
+    /// The candidates of the vertex being computed.
+    buf: Vec<OpenRef>,
+    /// The collect phase's `(close state, open position)` questions.
+    wanted: Vec<(StateId, usize)>,
+}
+
+/// The immutable, per-pattern inputs of an evaluation: the SNFA, its gadget
+/// topology, the interned query names, and the memoized co-reachability
+/// automaton.  `Matcher` builds them once.
+#[derive(Clone, Copy)]
+pub(crate) struct Compiled<'a> {
+    pub(crate) snfa: &'a Snfa,
+    pub(crate) topo: &'a GadgetTopology,
+    pub(crate) table: &'a QueryTable,
+    pub(crate) coreach: &'a CoReach,
 }
 
 /// The batched query plane threaded through one evaluation.
@@ -425,6 +465,17 @@ struct Plane<'a, 's, 'o> {
     session: &'s mut BatchSession<'o>,
     /// Interned query names; `LedgerKey.0` indexes `table.queries`.
     table: &'a QueryTable,
+}
+
+impl<'a, 's, 'o> Plane<'a, 's, 'o> {
+    /// A plane with an empty ledger over `session`.
+    fn new(table: &'a QueryTable, session: &'s mut BatchSession<'o>) -> Self {
+        Plane {
+            ledger: QueryLedger::new(),
+            session,
+            table,
+        }
+    }
 }
 
 /// Resolves every pending ledger key through the session in one batch.
@@ -449,39 +500,22 @@ fn flush_plane(plane: &mut Plane<'_, '_, '_>, input: &[u8]) -> bool {
     )
 }
 
-/// Evaluates the query graph of `snfa` over `input`, consulting `oracle`
+/// Evaluates the query graph of `c.snfa` over `input`, consulting `oracle`
 /// for refinement queries.  With `options.batched` a fresh, single-line
 /// [`BatchSession`] is used; [`evaluate_in_session`] shares one across
 /// lines.
 pub(crate) fn evaluate_with_scratch(
-    snfa: &Snfa,
-    topo: &GadgetTopology,
+    c: Compiled<'_>,
     input: &[u8],
     oracle: &dyn Oracle,
     options: EvalOptions,
     scratch: &mut EvalScratch,
 ) -> EvalReport {
     if options.batched {
-        let table = QueryTable::build(snfa, topo);
         let mut session = BatchSession::new(oracle);
-        return evaluate_in_session(snfa, topo, &table, input, options, &mut session, scratch);
+        return evaluate_in_session(c, input, options, &mut session, scratch);
     }
-    Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: None,
-        search: None,
-        best: None,
-        suspended_at: None,
-    }
-    .run(scratch)
+    Evaluator::new(c, input, oracle, options, None, None).run(scratch)
 }
 
 /// Unanchored search over `input`: finds the [`SearchKind`]-preferred span
@@ -489,10 +523,8 @@ pub(crate) fn evaluate_with_scratch(
 /// [`EvalReport::span`].  One pass over the text answers all start
 /// positions: every position seeds the start vertex (the implicit `.*`
 /// prefix) and the seeds ride the backreference rules to the accept vertex.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_search_with_scratch(
-    snfa: &Snfa,
-    topo: &GadgetTopology,
+    c: Compiled<'_>,
     input: &[u8],
     oracle: &dyn Oracle,
     options: EvalOptions,
@@ -500,109 +532,43 @@ pub(crate) fn evaluate_search_with_scratch(
     scratch: &mut EvalScratch,
 ) -> EvalReport {
     if options.batched {
-        let table = QueryTable::build(snfa, topo);
         let mut session = BatchSession::new(oracle);
-        return evaluate_search_in_session(
-            snfa,
-            topo,
-            &table,
-            input,
-            options,
-            kind,
-            &mut session,
-            scratch,
-        );
+        return evaluate_search_in_session(c, input, options, kind, &mut session, scratch);
     }
-    Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: None,
-        search: Some(kind),
-        best: None,
-        suspended_at: None,
-    }
-    .run(scratch)
+    Evaluator::new(c, input, oracle, options, None, Some(kind)).run(scratch)
 }
 
 /// Like [`evaluate_search_with_scratch`], but resolving oracle questions
 /// through `session` so answers are shared with every other evaluation
 /// using it (e.g. the successive suffix searches of a `find_iter`).
 /// Implies the batched plane.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_search_in_session<'a>(
-    snfa: &'a Snfa,
-    topo: &'a GadgetTopology,
-    table: &'a QueryTable,
-    input: &'a [u8],
+pub(crate) fn evaluate_search_in_session(
+    c: Compiled<'_>,
+    input: &[u8],
     options: EvalOptions,
     kind: SearchKind,
     session: &mut BatchSession<'_>,
     scratch: &mut EvalScratch,
 ) -> EvalReport {
     let oracle = session.backend();
-    Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: Some(Plane {
-            ledger: QueryLedger::new(),
-            session,
-            table,
-        }),
-        search: Some(kind),
-        best: None,
-        suspended_at: None,
-    }
-    .run(scratch)
+    let plane = Plane::new(c.table, session);
+    Evaluator::new(c, input, oracle, options, Some(plane), Some(kind)).run(scratch)
 }
 
 /// Evaluates the query graph with oracle questions resolved through
 /// `session` (and its backend), so `(query, text)` answers are shared with
 /// every other evaluation using the same session (e.g. the other lines of a
 /// grep chunk).  Implies the batched plane regardless of `options.batched`.
-pub(crate) fn evaluate_in_session<'a>(
-    snfa: &'a Snfa,
-    topo: &'a GadgetTopology,
-    table: &'a QueryTable,
-    input: &'a [u8],
+pub(crate) fn evaluate_in_session(
+    c: Compiled<'_>,
+    input: &[u8],
     options: EvalOptions,
     session: &mut BatchSession<'_>,
     scratch: &mut EvalScratch,
 ) -> EvalReport {
     let oracle = session.backend();
-    Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: Some(Plane {
-            ledger: QueryLedger::new(),
-            session,
-            table,
-        }),
-        search: None,
-        best: None,
-        suspended_at: None,
-    }
-    .run(scratch)
+    let plane = Plane::new(c.table, session);
+    Evaluator::new(c, input, oracle, options, Some(plane), None).run(scratch)
 }
 
 /// The resumable flavour of [`evaluate_in_session`]: on an overlapped
@@ -611,48 +577,26 @@ pub(crate) fn evaluate_in_session<'a>(
 /// suspended position, instead of a throwaway report with
 /// [`EvalReport::suspended`] set.  Takes `scratch` by value because a
 /// suspension keeps the buffers parked with the line.
-pub(crate) fn try_evaluate_resumable<'a>(
-    snfa: &'a Snfa,
-    topo: &'a GadgetTopology,
-    table: &'a QueryTable,
-    input: &'a [u8],
+pub(crate) fn try_evaluate_resumable(
+    c: Compiled<'_>,
+    input: &[u8],
     options: EvalOptions,
     session: &mut BatchSession<'_>,
     scratch: EvalScratch,
 ) -> EvalOutcome {
     let oracle = session.backend();
-    let evaluator = Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: Some(Plane {
-            ledger: QueryLedger::new(),
-            session,
-            table,
-        }),
-        search: None,
-        best: None,
-        suspended_at: None,
-    };
+    let plane = Plane::new(c.table, session);
+    let evaluator = Evaluator::new(c, input, oracle, options, Some(plane), None);
     run_resumable(evaluator, scratch, None)
 }
 
 /// Continues a [suspended](EvalOutcome::Suspended) evaluation from the
-/// position that parked it.  `snfa` / `topo` / `table` / `input` must be
-/// the ones the evaluation started with, and `session` must resolve
-/// through the same resolver pool — the parked state is only meaningful
-/// against them.
-pub(crate) fn resume_evaluation<'a>(
-    snfa: &'a Snfa,
-    topo: &'a GadgetTopology,
-    table: &'a QueryTable,
-    input: &'a [u8],
+/// position that parked it.  `c` and `input` must be the ones the
+/// evaluation started with, and `session` must resolve through the same
+/// resolver pool — the parked state is only meaningful against them.
+pub(crate) fn resume_evaluation(
+    c: Compiled<'_>,
+    input: &[u8],
     options: EvalOptions,
     session: &mut BatchSession<'_>,
     suspended: Box<SuspendedEval>,
@@ -667,22 +611,14 @@ pub(crate) fn resume_evaluation<'a>(
     } = *suspended;
     report.suspended = false;
     let oracle = session.backend();
-    let evaluator = Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report,
-        plane: Some(Plane {
-            ledger,
-            session,
-            table,
-        }),
-        search,
-        best,
-        suspended_at: None,
+    let plane = Plane {
+        ledger,
+        session,
+        table: c.table,
     };
+    let mut evaluator = Evaluator::new(c, input, oracle, options, Some(plane), search);
+    evaluator.report = report;
+    evaluator.best = best;
     run_resumable(evaluator, scratch, Some(pos))
 }
 
@@ -700,6 +636,11 @@ fn run_resumable(
             .plane
             .take()
             .expect("resumable evaluations run on the batched plane");
+        // The close buffers hold nothing across positions (a resumption
+        // re-runs the suspended position from its first layer), and every
+        // line parked on the resolver pool would otherwise keep their
+        // high-water capacity.
+        scratch.close = CloseScratch::default();
         return EvalOutcome::Suspended(Box::new(SuspendedEval {
             scratch,
             ledger: plane.ledger,
@@ -724,6 +665,7 @@ fn run_resumable(
 struct Evaluator<'a, 's, 'o> {
     snfa: &'a Snfa,
     topo: &'a GadgetTopology,
+    coreach: &'a CoReach,
     input: &'a [u8],
     oracle: &'a dyn Oracle,
     options: EvalOptions,
@@ -742,7 +684,33 @@ struct Evaluator<'a, 's, 'o> {
     suspended_at: Option<usize>,
 }
 
-impl Evaluator<'_, '_, '_> {
+impl<'a, 's, 'o> Evaluator<'a, 's, 'o> {
+    fn new(
+        c: Compiled<'a>,
+        input: &'a [u8],
+        oracle: &'a dyn Oracle,
+        options: EvalOptions,
+        plane: Option<Plane<'a, 's, 'o>>,
+        search: Option<SearchKind>,
+    ) -> Self {
+        Evaluator {
+            snfa: c.snfa,
+            topo: c.topo,
+            coreach: c.coreach,
+            input,
+            oracle,
+            options,
+            report: EvalReport {
+                positions: input.len() + 1,
+                ..EvalReport::default()
+            },
+            plane,
+            search,
+            best: None,
+            suspended_at: None,
+        }
+    }
+
     fn run(mut self, scratch: &mut EvalScratch) -> EvalReport {
         let mut report = self.run_inner(scratch, None);
         if self.search.is_some() {
@@ -777,7 +745,7 @@ impl Evaluator<'_, '_, '_> {
             layer2,
             layer3,
             prev3,
-            close_cache,
+            close,
             coreach,
             loq,
             refs_buf,
@@ -785,14 +753,16 @@ impl Evaluator<'_, '_, '_> {
         layer1.ensure(states);
         layer2.ensure(states);
         layer3.ensure(states);
-        close_cache.clear();
-        close_cache.resize_with(states, || None);
+        close.cached.clear();
+        close.cached.resize(states, None);
         let prune = self.options.prune_coreachable;
         if resume_at.is_none() {
             prev3.ensure(states);
             loq.reset(n + 2, self.topo.num_open_states());
             if prune {
-                self.co_reachability(coreach);
+                let search = self.search.is_some();
+                self.coreach
+                    .fill(self.snfa, self.topo, self.input, search, coreach);
             }
         }
         let cr: &[bool] = coreach;
@@ -818,6 +788,8 @@ impl Evaluator<'_, '_, '_> {
             layer1.clear();
             layer2.clear();
             layer3.clear();
+            close.candidates.clear();
+            close.groups.clear();
 
             // ---- Layer 1: character step (targets are always blank) -----
             if pos == 1 {
@@ -863,7 +835,7 @@ impl Evaluator<'_, '_, '_> {
             // Collect phase: enlist every oracle question this position is
             // certain to need and resolve them in one batch.
             if self.plane.is_some()
-                && !self.collect_close_queries(pos, layer1, &allowed, close_cache, loq)
+                && !self.collect_close_queries(pos, layer1, &allowed, close, loq)
             {
                 self.report.oracle_calls = calls_at_pos;
                 self.report.suspended = true;
@@ -877,7 +849,7 @@ impl Evaluator<'_, '_, '_> {
                 if !allowed(1, t, pos) {
                     continue;
                 }
-                if !self.eval_close_vertex(t, pos, layer1, close_cache, loq) {
+                if !self.eval_close_vertex(t, pos, layer1, close, loq) {
                     self.report.oracle_calls = calls_at_pos;
                     self.report.suspended = true;
                     self.suspended_at = Some(pos);
@@ -985,51 +957,48 @@ impl Evaluator<'_, '_, '_> {
         self.report
     }
 
-    /// Computes the candidate opens of the close vertex `(t, layer 1, pos)`
-    /// given the current layer-1 frontier: the union of the backreferences
-    /// of the alive predecessors, restricted to opens of `t`'s query.
-    /// Returns `None` when no predecessor is alive.
-    fn close_candidates(&self, t: StateId, layer1: &Layer) -> Option<Vec<OpenRef>> {
+    /// Computes into `candidates` the candidate opens of the close vertex
+    /// `(t, layer 1, pos)` given the current layer-1 frontier: the union of
+    /// the backreferences of the alive predecessors, restricted to opens of
+    /// `t`'s query.  Empty when no predecessor is alive.
+    fn close_candidates(&self, t: StateId, layer1: &Layer, candidates: &mut Vec<OpenRef>) {
         let query = self.topo.query(t).expect("close states carry a query");
-        let mut candidates: Vec<OpenRef> = Vec::new();
-        let mut any_alive_pred = false;
+        candidates.clear();
         for &p in self.topo.close_in(t) {
-            if !layer1.alive[p] {
-                continue;
+            if layer1.alive[p] {
+                merge_refs(candidates, &layer1.backref[p]);
             }
-            any_alive_pred = true;
-            merge_refs(&mut candidates, &layer1.backref[p]);
-        }
-        if !any_alive_pred {
-            return None;
         }
         candidates.retain(|&o| {
             let state = open_ref_state(o);
             state != SEED_STATE && self.topo.query(state) == Some(query)
         });
-        Some(candidates)
     }
 
-    /// Groups candidate opens by their string position: all opens at the
-    /// same position delimit the same substring, so one oracle question
-    /// answers for all of them.  The second component records whether any
-    /// member carries a LOQ set (nested queries).  Candidates are sorted,
-    /// so the group order — and in particular the first group — is
-    /// identical however the candidate set was reached, and since the
-    /// position sits in an [`OpenRef`]'s high bits, each group is a run of
-    /// consecutive candidates.
-    fn group_candidates(&self, candidates: &[OpenRef], loq: &LoqTable) -> Vec<(usize, bool)> {
+    /// Appends to `groups` the candidate opens grouped by their string
+    /// position: all opens at the same position delimit the same
+    /// substring, so one oracle question answers for all of them.  The
+    /// second component records whether any member carries a LOQ set
+    /// (nested queries).  Candidates are sorted, so the group order — and
+    /// in particular the first group — is identical however the candidate
+    /// set was reached, and since the position sits in an [`OpenRef`]'s
+    /// high bits, each group is a run of consecutive candidates.
+    fn group_candidates(
+        &self,
+        candidates: &[OpenRef],
+        loq: &LoqTable,
+        groups: &mut Vec<(usize, bool)>,
+    ) {
         debug_assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
-        let mut groups: Vec<(usize, bool)> = Vec::new();
+        let first = groups.len();
         for &o in candidates {
             let p = open_ref_pos(o);
             let has_loq = loq_of(self.topo, loq, o).is_some();
-            match groups.last_mut() {
+            match groups[first..].last_mut() {
                 Some((gp, h)) if *gp == p => *h |= has_loq,
                 _ => groups.push((p, has_loq)),
             }
         }
-        groups
     }
 
     /// Collect phase of one position: enlists into the ledger every oracle
@@ -1062,7 +1031,7 @@ impl Evaluator<'_, '_, '_> {
         pos: usize,
         layer1: &Layer,
         allowed: &F,
-        close_cache: &mut [Option<CachedClose>],
+        close: &mut CloseScratch,
         loq: &LoqTable,
     ) -> bool
     where
@@ -1070,48 +1039,59 @@ impl Evaluator<'_, '_, '_> {
     {
         // The apply phase takes every entry it visits, but clear anyway so
         // a stale computation can never leak across positions.
-        close_cache.iter_mut().for_each(|slot| *slot = None);
+        close.cached.fill(None);
+        close.wanted.clear();
         // With no LOQ sets anywhere, candidate sets cannot change during
         // the close cascade (newly alive close vertices carry empty
         // backreferences), so the apply phase can reuse what is computed
         // here instead of recomputing it per vertex.
         let cache_reusable = loq.is_empty();
-        let mut wanted: Vec<(StateId, usize)> = Vec::new();
         for &t in self.topo.close_order() {
             if !allowed(1, t, pos) {
                 continue;
             }
-            let candidates = match self.close_candidates(t, layer1) {
-                Some(c) if !c.is_empty() => c,
-                _ => continue,
-            };
-            let groups = self.group_candidates(&candidates, loq);
+            self.close_candidates(t, layer1, &mut close.buf);
+            if close.buf.is_empty() {
+                continue;
+            }
+            let first_group = close.groups.len();
+            self.group_candidates(&close.buf, loq, &mut close.groups);
+            let groups = &close.groups[first_group..];
             if !self.options.lazy_oracle {
-                wanted.extend(groups.iter().map(|&(open_pos, _)| (t, open_pos)));
+                close
+                    .wanted
+                    .extend(groups.iter().map(|&(open_pos, _)| (t, open_pos)));
             } else {
                 let mut any_loq = false;
-                for &(open_pos, has_loq) in &groups {
+                for &(open_pos, has_loq) in groups {
                     if has_loq {
                         any_loq = true;
-                        wanted.push((t, open_pos));
+                        close.wanted.push((t, open_pos));
                     }
                 }
                 if !any_loq && cache_reusable {
-                    wanted.push((t, groups[0].0));
+                    close.wanted.push((t, groups[0].0));
                 }
             }
             if cache_reusable {
-                close_cache[t] = Some(CachedClose { candidates, groups });
+                let first_candidate = close.candidates.len();
+                close.candidates.extend_from_slice(&close.buf);
+                close.cached[t] = Some(CachedClose {
+                    candidates: (first_candidate, close.candidates.len()),
+                    groups: (first_group, close.groups.len()),
+                });
+            } else {
+                close.groups.truncate(first_group);
             }
         }
-        if wanted.is_empty() {
+        if close.wanted.is_empty() {
             return true;
         }
         let plane = self
             .plane
             .as_mut()
             .expect("collect phase runs on the batched plane");
-        for (t, open_pos) in wanted {
+        for &(t, open_pos) in &close.wanted {
             let qid = plane.table.state_query[t].expect("close states carry a query");
             plane.ledger.enlist((qid, open_pos as u32, pos as u32));
         }
@@ -1130,7 +1110,7 @@ impl Evaluator<'_, '_, '_> {
         t: StateId,
         pos: usize,
         layer1: &mut Layer,
-        close_cache: &mut [Option<CachedClose>],
+        close: &mut CloseScratch,
         loq: &LoqTable,
     ) -> bool {
         // `topo` is a shared borrow independent of `self`, so the query
@@ -1141,15 +1121,19 @@ impl Evaluator<'_, '_, '_> {
         // Reuse the collect phase's computation when it cached one for this
         // vertex (valid only while no LOQ set exists, which is when the
         // candidate set provably cannot have changed since).
-        let (candidates, groups) = match close_cache[t].take() {
-            Some(CachedClose { candidates, groups }) => (candidates, groups),
+        let (candidates, groups) = match close.cached[t].take() {
+            Some(CachedClose {
+                candidates: (c0, c1),
+                groups: (g0, g1),
+            }) => (&close.candidates[c0..c1], &close.groups[g0..g1]),
             None => {
-                let candidates = match self.close_candidates(t, layer1) {
-                    Some(c) if !c.is_empty() => c,
-                    _ => return true,
-                };
-                let groups = self.group_candidates(&candidates, loq);
-                (candidates, groups)
+                self.close_candidates(t, layer1, &mut close.buf);
+                if close.buf.is_empty() {
+                    return true;
+                }
+                let first_group = close.groups.len();
+                self.group_candidates(&close.buf, loq, &mut close.groups);
+                (&close.buf[..], &close.groups[first_group..])
             }
         };
 
@@ -1279,115 +1263,57 @@ impl Evaluator<'_, '_, '_> {
             }
         }
     }
-
-    /// Backward, oracle-free pass computing for every vertex whether `end`
-    /// is syntactically reachable from it, written into the flat `bits`
-    /// bitmap (`((pos - 1) * 3 + (layer - 1)) * states + state`).  One
-    /// resized allocation per evaluation instead of `3(|w| + 1)` nested
-    /// `Vec`s.
-    fn co_reachability(&self, bits: &mut Vec<bool>) {
-        let n = self.input.len();
-        let states = self.snfa.num_states();
-        let stride = 3 * states;
-        bits.clear();
-        bits.resize(stride * (n + 1), false);
-
-        for pos in (1..=n + 1).rev() {
-            let (before, rest) = bits.split_at_mut(pos * stride);
-            let current = &mut before[(pos - 1) * stride..];
-            let next_layer1: Option<&[bool]> = if pos == n + 1 {
-                None
-            } else {
-                Some(&rest[..states])
-            };
-            let (l1, tail) = current.split_at_mut(states);
-            let (l2, l3) = tail.split_at_mut(states);
-
-            // Layer 3: end vertex, or a character edge into an allowed
-            // layer-1 vertex of the next position.  Search mode checks the
-            // accept vertex at *every* position, so it is always a target.
-            if pos == n + 1 {
-                l3[self.snfa.accept()] = true;
-            } else {
-                if let Some(next1) = next_layer1 {
-                    let byte = self.input[pos - 1];
-                    for (s, slot) in l3.iter_mut().enumerate() {
-                        if self
-                            .snfa
-                            .char_out(s)
-                            .iter()
-                            .any(|&(class, t)| class.contains(byte) && next1[t])
-                        {
-                            *slot = true;
-                        }
-                    }
-                }
-                if self.search.is_some() {
-                    l3[self.snfa.accept()] = true;
-                }
-            }
-
-            // Layer 2: E23 edges into layer 3, then E22 edges (reverse
-            // topological order so that later opens are settled first).
-            for (s, slot) in l2.iter_mut().enumerate() {
-                if self.topo_balanced(s).iter().any(|&t| l3[t]) {
-                    *slot = true;
-                }
-            }
-            for &t in self.topo.open_order().iter().rev() {
-                if l2[t] {
-                    for &s in self.topo.open_in(t) {
-                        l2[s] = true;
-                    }
-                }
-            }
-
-            // Layer 1: E12 edges into layer 2, then E11 edges in reverse
-            // topological order.
-            for (dst, &src) in l1.iter_mut().zip(l2.iter()) {
-                if src {
-                    *dst = true;
-                }
-            }
-            for &t in self.topo.close_order().iter().rev() {
-                if l1[t] {
-                    for &s in self.topo.close_in(t) {
-                        l1[s] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    fn topo_balanced(&self, s: StateId) -> &[StateId] {
-        self.topo.balanced_targets(s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::GadgetTopology;
-    use semre_automata::{compile, EpsClosure};
+    use semre_automata::{compile, ByteClasses, EpsClosure};
     use semre_oracle::{ConstOracle, Oracle, PalindromeOracle, SetOracle};
     use semre_syntax::{examples, parse, Semre};
+
+    /// The compiled evaluation inputs of one SemRE.
+    struct Parts {
+        snfa: Snfa,
+        topo: GadgetTopology,
+        table: QueryTable,
+        coreach: CoReach,
+    }
+
+    impl Parts {
+        fn new(r: &Semre, oracle: &dyn Oracle) -> Self {
+            let snfa = compile(r);
+            let closure = EpsClosure::compute(&snfa, oracle);
+            let topo = GadgetTopology::new(&snfa, &closure);
+            let table = QueryTable::build(&snfa, &topo);
+            let coreach = CoReach::new(&snfa, ByteClasses::of(&snfa));
+            Parts {
+                snfa,
+                topo,
+                table,
+                coreach,
+            }
+        }
+
+        fn compiled(&self) -> Compiled<'_> {
+            Compiled {
+                snfa: &self.snfa,
+                topo: &self.topo,
+                table: &self.table,
+                coreach: &self.coreach,
+            }
+        }
+    }
 
     fn run(pattern: &str, oracle: &dyn Oracle, input: &[u8], options: EvalOptions) -> EvalReport {
         run_semre(&parse(pattern).unwrap(), oracle, input, options)
     }
 
     fn run_semre(r: &Semre, oracle: &dyn Oracle, input: &[u8], options: EvalOptions) -> EvalReport {
-        let snfa = compile(r);
-        let closure = EpsClosure::compute(&snfa, oracle);
-        let topo = GadgetTopology::new(&snfa, &closure);
-        evaluate_with_scratch(
-            &snfa,
-            &topo,
-            input,
-            oracle,
-            options,
-            &mut EvalScratch::default(),
-        )
+        let parts = Parts::new(r, oracle);
+        let mut scratch = EvalScratch::default();
+        evaluate_with_scratch(parts.compiled(), input, oracle, options, &mut scratch)
     }
 
     fn all_option_combos() -> Vec<EvalOptions> {
@@ -1742,19 +1668,9 @@ mod tests {
         options: EvalOptions,
         kind: SearchKind,
     ) -> EvalReport {
-        let r = parse(pattern).unwrap();
-        let snfa = compile(&r);
-        let closure = EpsClosure::compute(&snfa, oracle);
-        let topo = GadgetTopology::new(&snfa, &closure);
-        evaluate_search_with_scratch(
-            &snfa,
-            &topo,
-            input,
-            oracle,
-            options,
-            kind,
-            &mut EvalScratch::default(),
-        )
+        let parts = Parts::new(&parse(pattern).unwrap(), oracle);
+        let mut scratch = EvalScratch::default();
+        evaluate_search_with_scratch(parts.compiled(), input, oracle, options, kind, &mut scratch)
     }
 
     #[test]

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod baseline;
+mod coreach;
 mod eval;
 mod graph;
 mod matcher;

@@ -11,10 +11,11 @@ use semre_automata::{compile, EpsClosure, LazyDfa, Prescan, Snfa};
 use semre_oracle::{BatchSession, Oracle, ResolverPool};
 use semre_syntax::{skeleton, Semre};
 
+use crate::coreach::CoReach;
 use crate::eval::{
     evaluate_in_session, evaluate_search_in_session, evaluate_search_with_scratch,
-    evaluate_with_scratch, resume_evaluation, try_evaluate_resumable, EvalOptions, EvalOutcome,
-    EvalReport, QueryTable, ScratchPool, SearchKind, SuspendedEval,
+    evaluate_with_scratch, resume_evaluation, try_evaluate_resumable, Compiled, EvalOptions,
+    EvalOutcome, EvalReport, QueryTable, ScratchPool, SearchKind, SuspendedEval,
 };
 use crate::topology::GadgetTopology;
 
@@ -170,8 +171,9 @@ impl MatcherConfig {
 ///
 /// A `Matcher` owns its oracle; construction compiles the SemRE, computes
 /// the ε-feasibility closure (issuing only `(q, ε)` probes), and
-/// precomputes the gadget topology.  Matching then never allocates
-/// automaton structures again.
+/// precomputes the gadget topology.  Matching then grows automaton
+/// structures only lazily, inside the bounded caches of the skeleton DFA
+/// and of the co-reachability automaton.
 ///
 /// # Examples
 ///
@@ -207,6 +209,8 @@ pub struct Matcher<O> {
     search_prescan: Prescan,
     topo: GadgetTopology,
     query_table: QueryTable,
+    /// Memoized co-reachability (the pruning pass), with pooled caches.
+    coreach: CoReach,
     /// Reusable evaluator buffers, checked out per evaluation.
     scratch: ScratchPool,
     oracle: O,
@@ -232,6 +236,9 @@ impl<O: Oracle> Matcher<O> {
         let search_skeleton_dfa = LazyDfa::new(&search_skeleton_snfa);
         let prescan = Prescan::for_membership(&skeleton_snfa, &skel);
         let search_prescan = Prescan::for_search(&skel);
+        // `skel(r)` keeps every character class of `r`, so the skeleton
+        // DFA's byte classes are exactly the SNFA's.
+        let coreach = CoReach::new(&snfa, skeleton_dfa.byte_classes().clone());
         Matcher {
             semre,
             skeleton: skel,
@@ -244,9 +251,20 @@ impl<O: Oracle> Matcher<O> {
             search_prescan,
             topo,
             query_table,
+            coreach,
             scratch: ScratchPool::new(),
             oracle,
             config,
+        }
+    }
+
+    /// The immutable evaluation inputs, borrowed for one evaluation.
+    fn compiled(&self) -> Compiled<'_> {
+        Compiled {
+            snfa: &self.snfa,
+            topo: &self.topo,
+            table: &self.query_table,
+            coreach: &self.coreach,
         }
     }
 
@@ -301,9 +319,7 @@ impl<O: Oracle> Matcher<O> {
             // table rather than rebuilding it per line.
             let mut session = self.session();
             evaluate_in_session(
-                &self.snfa,
-                &self.topo,
-                &self.query_table,
+                self.compiled(),
                 input,
                 self.eval_options(),
                 &mut session,
@@ -311,8 +327,7 @@ impl<O: Oracle> Matcher<O> {
             )
         } else {
             evaluate_with_scratch(
-                &self.snfa,
-                &self.topo,
+                self.compiled(),
                 input,
                 &self.oracle,
                 self.eval_options(),
@@ -351,9 +366,7 @@ impl<O: Oracle> Matcher<O> {
         }
         let mut scratch = self.scratch.take();
         let report = evaluate_in_session(
-            &self.snfa,
-            &self.topo,
-            &self.query_table,
+            self.compiled(),
             input,
             self.eval_options(),
             session,
@@ -384,9 +397,7 @@ impl<O: Oracle> Matcher<O> {
         }
         let scratch = self.scratch.take();
         match try_evaluate_resumable(
-            &self.snfa,
-            &self.topo,
-            &self.query_table,
+            self.compiled(),
             input,
             self.eval_options(),
             session,
@@ -413,9 +424,7 @@ impl<O: Oracle> Matcher<O> {
         session: &mut BatchSession<'_>,
     ) -> Result<EvalReport, SuspendedMatch> {
         match resume_evaluation(
-            &self.snfa,
-            &self.topo,
-            &self.query_table,
+            self.compiled(),
             input,
             self.eval_options(),
             session,
@@ -455,9 +464,7 @@ impl<O: Oracle> Matcher<O> {
         let report = if self.config.batched_oracle {
             let mut session = self.session();
             evaluate_search_in_session(
-                &self.snfa,
-                &self.topo,
-                &self.query_table,
+                self.compiled(),
                 input,
                 self.eval_options(),
                 kind,
@@ -466,8 +473,7 @@ impl<O: Oracle> Matcher<O> {
             )
         } else {
             evaluate_search_with_scratch(
-                &self.snfa,
-                &self.topo,
+                self.compiled(),
                 input,
                 &self.oracle,
                 self.eval_options(),
@@ -497,9 +503,7 @@ impl<O: Oracle> Matcher<O> {
         }
         let mut scratch = self.scratch.take();
         let report = evaluate_search_in_session(
-            &self.snfa,
-            &self.topo,
-            &self.query_table,
+            self.compiled(),
             input,
             self.eval_options(),
             kind,
@@ -830,5 +834,118 @@ mod tests {
             "a cold pool must suspend at least one oracle-bearing line"
         );
         assert!(pool.stats().backend_keys > 0);
+    }
+
+    /// Spam-corpus style lines, including lines the prefilters reject, an
+    /// empty line and non-UTF-8 bytes.
+    fn spam_lines() -> Vec<&'static [u8]> {
+        vec![
+            b"Subject: cheap viagra now",
+            b"Subject: meeting notes for tuesday",
+            b"Re: cheap viagra now",
+            b"Subject: buy tramadol online",
+            b"Subject: \xff\xfe viagra \x00",
+            b"Subject: ",
+            b"",
+        ]
+    }
+
+    #[test]
+    fn two_threads_share_one_matchers_coreachability_caches() {
+        use crate::coreach::sweep_direct;
+
+        let llm = SimLlmOracle::new();
+        let pattern = Semre::padded(examples::r_spam1());
+        let matcher = Matcher::new(pattern.clone(), &llm);
+        let unpruned = Matcher::with_config(
+            pattern,
+            &llm,
+            MatcherConfig {
+                prune_coreachable: false,
+                ..MatcherConfig::default()
+            },
+        );
+        let lines = spam_lines();
+        // Both threads start each round's backward passes together.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for thread in 0..2 {
+                let (matcher, unpruned, lines, barrier) = (&matcher, &unpruned, &lines, &barrier);
+                scope.spawn(move || {
+                    let mut bits = Vec::new();
+                    for round in 0..20 {
+                        let line = lines[(round * 3 + thread) % lines.len()];
+                        barrier.wait();
+                        for search in [false, true] {
+                            matcher.coreach.fill(
+                                &matcher.snfa,
+                                &matcher.topo,
+                                line,
+                                search,
+                                &mut bits,
+                            );
+                            assert!(
+                                bits == sweep_direct(&matcher.snfa, &matcher.topo, line, search),
+                                "thread {thread}: {line:?}"
+                            );
+                        }
+                        assert_eq!(matcher.is_match(line), unpruned.is_match(line), "{line:?}");
+                        assert_eq!(matcher.find(line), unpruned.find(line), "{line:?}");
+                    }
+                });
+            }
+        });
+        // At most one cache per concurrent backward pass.
+        assert!(matcher.coreach.cached_sets(false).len() <= 2);
+        assert!(matcher.coreach.cached_sets(true).len() <= 2);
+    }
+
+    #[test]
+    fn parked_lines_resume_mid_line_while_other_lines_reset_the_cache() {
+        use semre_oracle::ResolverPool;
+
+        let llm = SimLlmOracle::new();
+        let mut matcher = Matcher::new(Semre::padded(examples::r_spam1()), &llm);
+        // A cap of one clears the pooled cache before nearly every line, so
+        // the lines run between a suspension and its resumption throw away
+        // whatever the parked line's backward pass interned.
+        matcher.coreach = CoReach::new(&matcher.snfa, matcher.skeleton_dfa.byte_classes().clone())
+            .with_max_sets(1);
+        let pool = ResolverPool::new(std::sync::Arc::new(SimLlmOracle::new()), 2, 0);
+        let lines = spam_lines();
+        let verdicts: Vec<bool> = lines.iter().map(|line| matcher.is_match(line)).collect();
+        let mut mid_line = 0u32;
+        for (i, &line) in lines.iter().enumerate() {
+            let expected = matcher.run(line);
+            let mut session = matcher.session_with_pool(&pool);
+            let mut generation = pool.generation();
+            let mut outcome = matcher.try_run_in_session(line, &mut session);
+            let mut parks = 0;
+            let report = loop {
+                match outcome {
+                    Ok(report) => break report,
+                    Err(parked) => {
+                        if parked.position() > 1 {
+                            mid_line += 1;
+                        }
+                        // Another line's backward pass between suspension
+                        // and resumption (on the first few parks only, to
+                        // keep the test quick).
+                        parks += 1;
+                        if parks <= 3 {
+                            let other = (i + 1) % lines.len();
+                            assert_eq!(matcher.is_match(lines[other]), verdicts[other]);
+                        }
+                        pool.wait_for_progress(generation);
+                        generation = pool.generation();
+                        outcome = matcher.resume_run_in_session(parked, line, &mut session);
+                    }
+                }
+            };
+            assert_eq!(report.matched, expected.matched, "{line:?}");
+            assert_eq!(report.oracle_calls, expected.oracle_calls, "{line:?}");
+            assert_eq!(report.vertices_alive, expected.vertices_alive, "{line:?}");
+        }
+        assert!(mid_line > 0, "some line must park after its first position");
     }
 }

@@ -42,22 +42,9 @@ pub trait LineMatcher: Sync {
     /// A short name identifying the algorithm ("snfa" or "dp").
     fn algorithm(&self) -> &'static str;
 
-    /// Suspension-aware membership: `None` means the verdict depends on
-    /// oracle answers still in flight on the overlapped plane — the scan
-    /// parks the line and replays it after the resolver pool has made
-    /// progress.  Synchronous matchers (the default) always answer.
-    fn try_matches_line_in_session(
-        &self,
-        line: &[u8],
-        session: &mut BatchSession<'_>,
-    ) -> Option<bool> {
-        Some(self.matches_line_in_session(line, session))
-    }
-
-    /// The resumable flavour of
-    /// [`try_matches_line_in_session`](LineMatcher::try_matches_line_in_session):
-    /// `Err` carries the evaluation parked at the position whose oracle
-    /// answers are still in flight, and
+    /// Suspension-aware membership: `Err` carries the evaluation parked at
+    /// the position whose oracle answers are still in flight on the
+    /// overlapped plane, and
     /// [`resume_matches_line`](LineMatcher::resume_matches_line) continues
     /// from exactly there — so a parked line costs `O(|line|)` evaluator
     /// work across all resumptions, not one full replay per flush point.
@@ -114,14 +101,6 @@ impl LineMatcher for SemRegex {
 
     fn algorithm(&self) -> &'static str {
         SemRegex::algorithm(self)
-    }
-
-    fn try_matches_line_in_session(
-        &self,
-        line: &[u8],
-        session: &mut BatchSession<'_>,
-    ) -> Option<bool> {
-        SemRegex::try_is_match_in_session(self, line, session)
     }
 
     fn try_matches_line_suspending(
